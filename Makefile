@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-scale bench-rpc bench-check bench-all obs-smoke agent-smoke ctl-smoke scripts-test fmt lint vet verify
+.PHONY: all build test race bench-all obs-smoke agent-smoke ctl-smoke fmt lint vet verify
 
 all: build test
 
@@ -19,35 +19,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench measures the inference hot path (forward pass, full decide in
-# both modes, one simulated episode) and writes machine-readable JSONL
-# to BENCH_inference.json (schema: EXPERIMENTS.md, "Inference
-# benchmarks").
-bench:
-	$(GO) run ./cmd/bench -out BENCH_inference.json
-
-# bench-scale measures end-to-end episode throughput (flows/sec) on
-# synthetic 100/500/1000-node topologies, sequential vs batched decision
-# resolution, and writes BENCH_scale.json (schema: EXPERIMENTS.md,
-# "Scale benchmarks").
-bench-scale:
-	$(GO) run ./cmd/bench -scale -out BENCH_scale.json
-
-# bench-rpc measures the decision round trip in-process vs across the
-# agentnet socket boundary (3 loopback agent servers) on an identically
-# seeded run, and writes BENCH_rpc.json (schema: EXPERIMENTS.md,
-# "Decision RTT"). The run itself enforces the equivalence oracle.
-bench-rpc:
-	$(GO) run ./cmd/bench -rpc -out BENCH_rpc.json
-
-# bench-check regression-gates the sequential decide hot path: a fresh
-# cmd/bench run must stay within +25% ns/op of the committed
-# BENCH_inference.json baseline.
-bench-check:
-	./scripts/bench_check.sh
-
 # bench-all runs every go test benchmark in the repo (figures, micro,
-# ablations); this takes much longer than `make bench`.
+# ablations). Speed is measured by `go run ./benchmark`.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -73,11 +46,6 @@ agent-smoke:
 ctl-smoke:
 	./scripts/ctl_smoke.sh
 
-# scripts-test runs the shell-level unit tests (currently the
-# bench_check.sh gate semantics: REGRESSED vs NO BASELINE exit codes).
-scripts-test:
-	./scripts/test_bench_check.sh
-
 fmt:
 	gofmt -l -w .
 
@@ -92,6 +60,5 @@ lint:
 vet:
 	$(GO) vet ./...
 
-# verify is the pre-merge gate: build, full suite, lint, race detector,
-# and the shell-level script tests.
-verify: build test lint race scripts-test
+# verify is the pre-merge gate: build, full suite, lint and race detector.
+verify: build test lint race

@@ -15,22 +15,17 @@
 //	BenchmarkFig9a    — success on large topologies
 //	BenchmarkFig9b    — per-decision coordination time
 //
-// plus micro-benchmarks (inference latency per topology, simulator event
-// throughput, APSP) and ablations (reward shaping, observation
-// normalization).
+// plus ablations (reward shaping, observation normalization). Speed is
+// measured by the harness in benchmark/ (`go run ./benchmark`).
 package distcoord
 
 import (
-	"math/rand"
 	"testing"
 
-	"distcoord/internal/baselines"
 	"distcoord/internal/coord"
 	"distcoord/internal/eval"
 	"distcoord/internal/graph"
-	"distcoord/internal/nn"
 	"distcoord/internal/rl"
-	"distcoord/internal/simnet"
 	"distcoord/internal/traffic"
 )
 
@@ -156,83 +151,6 @@ func reportFigure(b *testing.B, fig eval.Figure) {
 	b.ReportMetric(last.Outcome.Succ.Mean, "success")
 }
 
-// BenchmarkInference measures the distributed DRL per-decision latency
-// (observe + forward pass) per topology and decision mode with the
-// paper's 2x256 network — the paper's "~1 ms per decision, invariant to
-// network size" claim. Every sub-benchmark must report 0 allocs/op: the
-// steady-state decide path reuses per-node workspaces.
-func BenchmarkInference(b *testing.B) {
-	for _, name := range []string{"Abilene", "BT Europe", "China Telecom", "Interroute"} {
-		for _, mode := range []struct {
-			name       string
-			stochastic bool
-		}{{"stochastic", true}, {"argmax", false}} {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				s := eval.Base()
-				s.Topology = name
-				inst, err := s.Instantiate(1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				adapter := coord.NewAdapter(inst.Graph, inst.APSP)
-				agent, err := rl.NewAgent(rl.AgentConfig{
-					ObsSize:    adapter.ObsSize(),
-					NumActions: adapter.NumActions(),
-					Hidden:     []int{256, 256},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				dist, err := coord.NewDistributed(adapter, agent.Actor)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dist.Stochastic = mode.stochastic
-				st := simnet.NewState(inst.Graph, inst.APSP)
-				flow := &simnet.Flow{
-					Service: inst.Service, Egress: s.Egress,
-					Rate: 1, Duration: 1, Deadline: 100,
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dist.Decide(st, flow, 0, 1)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw event-loop throughput with a
-// cheap coordinator (decisions per second of simulated coordination).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	s := eval.Base()
-	s.NumIngresses = 5
-	s.Horizon = 2000
-	inst, err := s.Instantiate(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	decisions := 0
-	for i := 0; i < b.N; i++ {
-		m, err := inst.Run(baselines.GCASP{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		decisions += m.Decisions
-	}
-	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/run")
-}
-
-func BenchmarkAPSP(b *testing.B) {
-	g := graph.Interroute()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.NewAPSP(g)
-	}
-}
-
 // BenchmarkAblationRewardShaping trains twice — with and without the
 // shaped auxiliary rewards of Sec. IV-B3 — and reports both resulting
 // success ratios. The paper motivates shaping as necessary against the
@@ -310,168 +228,4 @@ func trainAblation(b *testing.B, shaping, normalize bool) float64 {
 		b.Fatal(err)
 	}
 	return stats.BestScore
-}
-
-// BenchmarkTraining measures one full training update cycle (rollout +
-// actor/critic update) on the base scenario.
-func BenchmarkTraining(b *testing.B) {
-	s := eval.Base()
-	inst, err := s.Instantiate(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env, err := coord.NewEnv(coord.EnvConfig{
-		Graph:        inst.Graph,
-		APSP:         inst.APSP,
-		Service:      inst.Service,
-		IngressNodes: s.Ingresses(),
-		Egress:       s.Egress,
-		Traffic:      traffic.PoissonSpec(10),
-		Template:     inst.Template,
-		Horizon:      500,
-	}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	adapter := env.Adapter()
-	agent, err := rl.NewAgent(rl.AgentConfig{
-		ObsSize:    adapter.ObsSize(),
-		NumActions: adapter.NumActions(),
-		Hidden:     []int{64, 64},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	policy := rl.PolicyFunc(func(obs []float64) int { return agent.SampleAction(obs, rng) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trajs, _, err := env.Rollout(policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := agent.Update(trajs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationOptimizer compares the paper's RMSprop against Adam
-// on an identical supervised fit (XOR regression with the nn package),
-// reporting the final losses. It documents that RMSprop (the paper's
-// choice) is adequate for the small tanh networks used throughout.
-func BenchmarkAblationOptimizer(b *testing.B) {
-	fit := func(step func(params, grads [][]float64)) float64 {
-		rng := rand.New(rand.NewSource(42))
-		m := nn.NewMLP(rng, 2, 16, 1)
-		samples := [][3]float64{{1, 1, 1}, {1, -1, -1}, {-1, 1, -1}, {-1, -1, 1}}
-		for epoch := 0; epoch < 200; epoch++ {
-			m.ZeroGrad()
-			for _, s := range samples {
-				tape := m.ForwardTape(s[:2])
-				m.Backward(tape, []float64{tape.Output()[0] - s[2]})
-			}
-			step(m.Params(), m.Grads())
-		}
-		loss := 0.0
-		for _, s := range samples {
-			d := m.Forward(s[:2])[0] - s[2]
-			loss += 0.5 * d * d
-		}
-		return loss
-	}
-	for i := 0; i < b.N; i++ {
-		rms := nn.NewRMSProp(0.01)
-		adam := nn.NewAdam(0.01)
-		b.ReportMetric(fit(rms.Step), "rmsprop-loss")
-		b.ReportMetric(fit(adam.Step), "adam-loss")
-	}
-}
-
-// BenchmarkOnlineAdaptation exercises the paper's proposed extension
-// (Sec. IV-C1): after brief offline training on fixed-interval traffic,
-// a frozen distributed policy and a continuously learning one (local
-// updates + federated weight averaging) both face bursty MMPP traffic.
-// Both success ratios are reported.
-func BenchmarkOnlineAdaptation(b *testing.B) {
-	s := eval.Base()
-	train := s
-	train.Traffic = traffic.FixedSpec(10)
-	train.Horizon = 600
-	policy, err := eval.TrainDRL(train, eval.TrainBudget{
-		Episodes:     60,
-		ParallelEnvs: 2,
-		Seeds:        1,
-		Horizon:      300,
-		Hidden:       []int{16},
-		LR:           3e-3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	test := s
-	test.Traffic = traffic.MMPPSpec(12, 8, 100, 0.05)
-	test.Horizon = 2000
-
-	b.ResetTimer() // exclude the offline pretraining above
-	for i := 0; i < b.N; i++ {
-		inst, err := test.Instantiate(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		adapter := coord.NewAdapter(inst.Graph, inst.APSP)
-
-		frozen, err := coord.NewDistributed(adapter, policy.Agent.Actor)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mFrozen, err := inst.Run(frozen)
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		online, err := coord.NewOnline(adapter, policy.Agent, coord.OnlineConfig{
-			SyncInterval: 200,
-			MinSteps:     32,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mOnline, err := runWithListener(inst, online)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(mFrozen.SuccessRatio(), "frozen-success")
-		b.ReportMetric(mOnline.SuccessRatio(), "online-success")
-		b.ReportMetric(float64(online.Updates), "online-updates")
-	}
-}
-
-// runWithListener runs an instance with a coordinator that is also the
-// simulation listener (the Online coordinator needs reward events).
-func runWithListener(inst *eval.Instance, online *coord.Online) (*simnet.Metrics, error) {
-	rng := rand.New(rand.NewSource(0x0911))
-	var ingresses []simnet.Ingress
-	for _, v := range inst.Scenario.Ingresses() {
-		ingresses = append(ingresses, simnet.Ingress{
-			Node:     v,
-			Arrivals: inst.Scenario.Traffic.New(rand.New(rand.NewSource(rng.Int63()))),
-		})
-	}
-	sim, err := simnet.New(simnet.Config{
-		Graph:       inst.Graph,
-		APSP:        inst.APSP,
-		Service:     inst.Service,
-		Ingresses:   ingresses,
-		Egress:      inst.Scenario.Egress,
-		Template:    inst.Template,
-		Horizon:     inst.Scenario.Horizon,
-		Coordinator: online,
-		Listener:    online,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
 }

@@ -11,7 +11,8 @@ import (
 // fuzzer starts from valid frames and mutates from there.
 //
 // Invariants: DecodeFrame never panics, never over-consumes, agrees with
-// ReadFrame on the same bytes, and a successfully decoded message
+// readFrameInto (the session reader behind every decide and model push)
+// on the same bytes, and a successfully decoded message
 // re-marshals to bytes that decode to the same message (the decoder
 // accepts only canonical encodings up to nil-vs-empty slices).
 func FuzzDecodeFrame(f *testing.F) {
@@ -45,20 +46,20 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, n, err := DecodeFrame(data)
-		rTyp, rPayload, rErr := ReadFrame(bytes.NewReader(data))
+		rTyp, rPayload, _, rErr := readFrameInto(bytes.NewReader(data), nil)
 		if err != nil {
-			// The two decoders must agree on rejection; ReadFrame sees a
-			// truncated buffer as an io error.
+			// The two decoders must agree on rejection; readFrameInto
+			// sees a truncated buffer as an io error.
 			if rErr == nil {
-				t.Fatalf("DecodeFrame rejected (%v) but ReadFrame accepted", err)
+				t.Fatalf("DecodeFrame rejected (%v) but readFrameInto accepted", err)
 			}
 			return
 		}
 		if rErr != nil {
-			t.Fatalf("DecodeFrame accepted but ReadFrame rejected: %v", rErr)
+			t.Fatalf("DecodeFrame accepted but readFrameInto rejected: %v", rErr)
 		}
 		if typ != rTyp || !bytes.Equal(payload, rPayload) {
-			t.Fatal("DecodeFrame and ReadFrame disagree on the same bytes")
+			t.Fatal("DecodeFrame and readFrameInto disagree on the same bytes")
 		}
 		if n < 5 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))

@@ -17,8 +17,8 @@ type PoolConfig struct {
 	Client ClientConfig
 	// ObserveRTT, if set, receives each decision round trip in
 	// microseconds (Decide and DecideBatch alike). The driver points
-	// this at a telemetry histogram so /metrics and BENCH_rpc.json see
-	// the same samples.
+	// this at a telemetry histogram so /metrics and the decision-RTT
+	// report see the same samples.
 	ObserveRTT func(us float64)
 	// Metrics, if set, receives per-agent fleet health series named
 	// agent.<slot>.* (rtt_us histogram, decides/failures counters,

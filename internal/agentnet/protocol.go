@@ -42,6 +42,12 @@ const ProtoVersion uint16 = 2
 // a corrupt or hostile peer from making us allocate gigabytes.
 const MaxFrame = 64 << 20
 
+// maxHandshakeFrame bounds the frames ReadFrame accepts. Its callers
+// read the handshake, before the peer is known, where a Hello is
+// 64 + 4·|nodes| + |hash| bytes; session frames go through readFrameInto
+// under MaxFrame.
+const maxHandshakeFrame = 1 << 20
+
 // Message type bytes. The value space is shared by both directions; each
 // request type has a fixed response type (Decide→Action, Ping→Pong, ...).
 const (
@@ -92,15 +98,18 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame written by WriteFrame. It returns the type
-// byte and the payload (a fresh slice owned by the caller).
+// ReadFrame reads one handshake frame written by WriteFrame. It returns
+// the type byte and the payload (a fresh slice owned by the caller). A
+// length prefix above the handshake bound (1 MiB) is rejected before
+// anything is allocated, so four unauthenticated bytes cannot make the
+// reader reserve MaxFrame.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || n > MaxFrame {
+	if n < 1 || n > maxHandshakeFrame {
 		return 0, nil, fmt.Errorf("agentnet: invalid frame length %d", n)
 	}
 	body := make([]byte, n)
@@ -126,7 +135,7 @@ func finishFrame(frame []byte, typ byte) {
 	frame[4] = typ
 }
 
-// readFrameInto reads one frame like ReadFrame but into buf, growing it
+// readFrameInto reads one session frame (up to MaxFrame) into buf, growing it
 // only when the frame outsizes its capacity. It returns the type byte,
 // the payload (aliasing the buffer, valid until the next read into it),
 // and the possibly-grown buffer for the caller to keep. This is the

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -232,6 +234,23 @@ func TestFrameLengthGuards(t *testing.T) {
 	// WriteFrame refuses to produce an oversized frame.
 	if err := WriteFrame(io.Discard, MsgDecide, make([]byte, MaxFrame)); err == nil {
 		t.Fatal("WriteFrame accepted oversized payload")
+	}
+}
+
+// TestReadFrameBoundsHandshake pins the pre-authentication guard: a
+// header claiming 2 MiB, followed by nothing, is an invalid length and
+// costs no allocation of the claimed size.
+func TestReadFrameBoundsHandshake(t *testing.T) {
+	hdr := []byte{0, 0x20, 0, 0} // 2 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "invalid frame length") {
+		t.Errorf("2 MiB handshake frame: got %v, want invalid frame length", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("rejecting a 2 MiB header allocated %d bytes", grew)
 	}
 }
 

@@ -55,7 +55,7 @@ type ServerConfig struct {
 // Server accepts driver connections on a listener and serves each with a
 // fresh Backend. It is used both by cmd/agentd (one server per process)
 // and by in-process tests/benchmarks (goroutine-hosted loopback servers,
-// which is also how BENCH_rpc.json's socket mode runs).
+// which is also how the benchmark harness's paper_socket workload runs).
 type Server struct {
 	NewBackend func() Backend
 	Config     ServerConfig

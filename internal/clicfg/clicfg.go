@@ -48,7 +48,7 @@ type Flags struct {
 	// default (all CPUs). Results never depend on it.
 	Jobs int
 	// Batch enables batched decision resolution in simulation runs that
-	// honor it (cmd/bench scale mode): same-(node, time) decisions are
+	// honor it (cmd/coordsim): same-(node, time) decisions are
 	// resolved with up to this many flows per inference call
 	// (simnet.Config.MaxBatch). 0 or 1 keeps the sequential path.
 	Batch int

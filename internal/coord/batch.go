@@ -75,41 +75,6 @@ func (n *nodeState) decideRows(rows []float64, k, na int, stochastic bool, actio
 	}
 }
 
-// DecideBatch implements simnet.BatchDecider for continuous online
-// training: one batched forward pass through node v's current agent,
-// then per-flow trace bookkeeping in slice order — the same order the
-// sequential path would have produced. The observation block is freshly
-// allocated per batch because the rows are retained in the node's
-// experience buffer (cf. Decide).
-func (o *Online) DecideBatch(st *simnet.State, flows []*simnet.Flow, v graph.NodeID, now float64, actions []int) {
-	k := len(flows)
-	if k == 0 {
-		return
-	}
-	if k == 1 {
-		actions[0] = o.Decide(st, flows[0], v, now)
-		return
-	}
-	w := o.adapter.ObsSize()
-	block := observeRows(o.adapter, nil, st, flows, v, now)
-	if o.bscratch[v] == nil {
-		o.bscratch[v] = o.agents[v].NewBatchScratch()
-	}
-	o.agents[v].SampleActionsWith(o.bscratch[v], block, k, o.rngs[v], actions)
-	for r, f := range flows {
-		obs := block[r*w : (r+1)*w : (r+1)*w]
-		ft := o.open[f.ID]
-		if ft == nil {
-			ft = &onlineTrace{}
-			o.open[f.ID] = ft
-		}
-		ft.closePending()
-		ft.pending = rl.Step{Obs: obs, Action: actions[r]}
-		ft.node = v
-		ft.active = true
-	}
-}
-
 // DecideBatch implements simnet.BatchDecider for training rollouts when
 // the policy supports batched selection; other policies fall back to
 // per-flow Decide calls.

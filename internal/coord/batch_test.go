@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"distcoord/internal/rl"
 	"distcoord/internal/simnet"
 )
 
@@ -70,61 +69,5 @@ func TestDecideBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("DecideBatch allocates %v times per run, want 0", allocs)
-	}
-}
-
-// TestOnlineDecideBatchMatchesDecide checks the online coordinator: the
-// batched path must produce the same actions and equivalent trace
-// bookkeeping as sequential decides from an identically seeded state.
-func TestOnlineDecideBatchMatchesDecide(t *testing.T) {
-	cfg := easyScenario()
-	env, err := NewEnv(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := env.Adapter()
-	agent, err := rl.NewAgent(rl.AgentConfig{
-		ObsSize: a.ObsSize(), NumActions: a.NumActions(), Hidden: []int{8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *Online {
-		o, err := NewOnline(a, agent, OnlineConfig{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o
-	}
-	st := simnet.NewState(cfg.Graph, a.APSP())
-	const k = 9
-	flows := batchFlows(cfg, k)
-
-	seq := mk()
-	want := make([]int, k)
-	for i, f := range flows {
-		want[i] = seq.Decide(st, f, 0, 1)
-	}
-
-	bat := mk()
-	got := make([]int, k)
-	bat.DecideBatch(st, flows, 0, 1, got)
-
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Online.DecideBatch = %v, sequential = %v", got, want)
-	}
-	// Both paths must leave identical open-trace bookkeeping: one active
-	// pending step per flow, owned by node 0.
-	for _, f := range flows {
-		sft, bft := seq.open[f.ID], bat.open[f.ID]
-		if sft == nil || bft == nil {
-			t.Fatalf("flow %d missing open trace (seq=%v bat=%v)", f.ID, sft != nil, bft != nil)
-		}
-		if !bft.active || bft.node != sft.node || bft.pending.Action != sft.pending.Action {
-			t.Errorf("flow %d trace mismatch: seq=%+v bat=%+v", f.ID, sft.pending, bft.pending)
-		}
-		if !reflect.DeepEqual(sft.pending.Obs, bft.pending.Obs) {
-			t.Errorf("flow %d observation mismatch between paths", f.ID)
-		}
 	}
 }

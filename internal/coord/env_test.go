@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -228,6 +229,70 @@ func TestTrainOnTrivialScenarioBeatsRandom(t *testing.T) {
 	if drl < 0.85 {
 		t.Errorf("trained DRL success ratio = %.3f, want ≥ 0.85 on a trivial scenario", drl)
 	}
+}
+
+// TrainOptions scale the training procedure of Train.
+type TrainOptions struct {
+	// Episodes per seed (update iterations).
+	Episodes int
+	// ParallelEnvs is l in Alg. 1.
+	ParallelEnvs int
+	// Seeds is k, the number of independently trained agents.
+	Seeds int
+	// Hidden is the actor and critic architecture.
+	Hidden []int
+	// LR is the learning rate.
+	LR float64
+	// Seed is the base random seed.
+	Seed int64
+}
+
+// TrainResult bundles the trained agent with everything needed to deploy
+// it.
+type TrainResult struct {
+	Agent   *rl.Agent
+	Adapter *Adapter
+	Stats   rl.TrainResult
+}
+
+// Deploy returns the distributed coordinator with the trained policy
+// copied to every node (Alg. 1 ln. 14).
+func (r *TrainResult) Deploy() (*Distributed, error) {
+	return NewDistributed(r.Adapter, r.Agent.Actor)
+}
+
+// Train runs the centralized training procedure of Alg. 1 on the given
+// scenario: k seeds, each with l parallel environment copies, selecting
+// the best agent by final success ratio.
+func Train(envCfg EnvConfig, opts TrainOptions) (*TrainResult, error) {
+	// Probe the scenario once to size the spaces and fail fast on
+	// invalid configurations.
+	probe, err := NewEnv(envCfg, opts.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("coord: invalid training scenario: %w", err)
+	}
+	adapter := probe.Adapter()
+
+	agent, stats, err := rl.Train(rl.TrainConfig{
+		Agent: rl.AgentConfig{
+			ObsSize:    adapter.ObsSize(),
+			NumActions: adapter.NumActions(),
+			Hidden:     opts.Hidden,
+			LR:         opts.LR,
+			Seed:       opts.Seed,
+		},
+		Episodes:     opts.Episodes,
+		ParallelEnvs: opts.ParallelEnvs,
+		Seeds:        opts.Seeds,
+		LRDecay:      true,
+		NewEnv: func(envSeed int64) (rl.Env, error) {
+			return NewEnv(envCfg, envSeed)
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("coord: training failed: %w", err)
+	}
+	return &TrainResult{Agent: agent, Adapter: adapter, Stats: stats}, nil
 }
 
 type randomCoord struct {

@@ -605,8 +605,8 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(data) //nolint:errcheck // client went away
 }
 
-// handleArtifactPut ingests an external artifact (a BENCH_*.json from a
-// bench run, a flow trace captured out of band) into a finished run's
+// handleArtifactPut ingests an external artifact (benchmark results, a
+// flow trace captured out of band) into a finished run's
 // manifest. Running or queued runs reject ingestion: the executor owns
 // their manifests.
 func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {

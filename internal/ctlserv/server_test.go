@@ -358,7 +358,7 @@ func TestArtifactIngestAndBlobFetch(t *testing.T) {
 		t.Fatalf("status = %s", m.Status)
 	}
 	payload := []byte(`{"bench":"inference","ns_op":123}` + "\n")
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/runs/"+id+"/artifacts/BENCH_inference.json", bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/runs/"+id+"/artifacts/bench_results.json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestArtifactIngestAndBlobFetch(t *testing.T) {
 
 	// Fetch through both the artifact route and the raw blob route.
 	for _, url := range []string{
-		ts.URL + "/runs/" + id + "/artifacts/BENCH_inference.json",
+		ts.URL + "/runs/" + id + "/artifacts/bench_results.json",
 		ts.URL + "/blobs/" + ing.Artifact.Hash,
 	} {
 		r2, err := http.Get(url)

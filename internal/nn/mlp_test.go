@@ -300,59 +300,6 @@ func TestForwardFiniteForBoundedInputs(t *testing.T) {
 	}
 }
 
-func TestAdamReducesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	m := NewMLP(rng, 2, 16, 1)
-	opt := NewAdam(0.01)
-	samples := [][3]float64{{1, 1, 1}, {1, -1, -1}, {-1, 1, -1}, {-1, -1, 1}}
-	lossAt := func() float64 {
-		l := 0.0
-		for _, s := range samples {
-			out := m.Forward(s[:2])
-			d := out[0] - s[2]
-			l += 0.5 * d * d
-		}
-		return l
-	}
-	before := lossAt()
-	for epoch := 0; epoch < 300; epoch++ {
-		m.ZeroGrad()
-		for _, s := range samples {
-			tape := m.ForwardTape(s[:2])
-			m.Backward(tape, []float64{tape.Output()[0] - s[2]})
-		}
-		opt.Step(m.Params(), m.Grads())
-	}
-	after := lossAt()
-	if after > before/10 {
-		t.Errorf("Adam failed to fit: loss %f -> %f", before, after)
-	}
-}
-
-func TestAdamBiasCorrectionFirstStep(t *testing.T) {
-	// With a single parameter and gradient g, the first Adam step is
-	// -lr * g/|g| (bias correction makes mHat=g, vHat=g^2) up to eps.
-	opt := NewAdam(0.1)
-	p := [][]float64{{1.0}}
-	g := [][]float64{{0.5}}
-	opt.Step(p, g)
-	want := 1.0 - 0.1*(0.5/(math.Sqrt(0.25)+opt.Eps))
-	if math.Abs(p[0][0]-want) > 1e-9 {
-		t.Errorf("first Adam step = %f, want %f", p[0][0], want)
-	}
-}
-
-func TestAdamReset(t *testing.T) {
-	opt := NewAdam(0.1)
-	p := [][]float64{{1.0}}
-	g := [][]float64{{0.5}}
-	opt.Step(p, g)
-	opt.Reset()
-	if opt.m != nil || opt.t != 0 {
-		t.Error("Reset did not clear Adam state")
-	}
-}
-
 func TestRMSPropReset(t *testing.T) {
 	opt := NewRMSProp(0.1)
 	p := [][]float64{{1.0}}

@@ -1,6 +1,6 @@
 // Package store is the controller's artifact layer: a content-addressed
 // blob store plus per-run manifests. Every artifact a run produces —
-// grid logs, flow traces, BENCH_*.json, policy checkpoints, rendered
+// grid logs, flow traces, benchmark results, policy checkpoints, rendered
 // figure markdown/CSV — is written once under its sha256
 // (blobs/sha256/<first two hex>/<hash>) and referenced by name from the
 // run's manifest, so identical outputs across runs share storage, a
